@@ -5,7 +5,7 @@
 //! loadgen [--connect ADDR --graph-file FILE] [--name GRAPH]
 //!         [--clients N] [--requests N] [--workers N] [--plan-cache]
 //!         [--limit N] [--count-only] [--quick] [--scale N] [--seed S]
-//!         [--out FILE] [--merge-into FILE]
+//!         [--max-wire-residual-ms MS] [--out FILE] [--merge-into FILE]
 //!
 //!   (default)            self-host: build a synthetic data graph, start an
 //!                        in-process engine + TCP server on a loopback
@@ -24,14 +24,19 @@
 //!   --quick              CI smoke mode: smaller graph, 24 requests
 //!   --scale N            synthetic graph divisor for self-host (default 10)
 //!   --seed S             query-mix seed (default 0xC41)
+//!   --max-wire-residual-ms MS
+//!                        fail the run when the median wire residual
+//!                        (client latency minus the server's `elapsed_ms`)
+//!                        exceeds MS; a transport stall trips it
 //!   --out FILE           write the JSON report here (default: stdout)
 //!   --merge-into FILE    splice the report as a `"serve"` member into an
 //!                        existing hotpath JSON document (BENCH_PR*.json)
 //! ```
 //!
-//! Exit status is non-zero if any request errored or any completed
-//! stream's client-side checksum disagreed with the server's digest, so
-//! CI can use a bare run as a gate.
+//! Exit status is non-zero if any request errored, any completed
+//! stream's client-side checksum disagreed with the server's digest, or
+//! the `--max-wire-residual-ms` bound was exceeded, so CI can use a bare
+//! run as a gate.
 
 use std::fmt::Write as _;
 
@@ -54,6 +59,7 @@ struct Args {
     quick: bool,
     scale: usize,
     seed: u64,
+    max_wire_residual_ms: Option<u64>,
     out: Option<String>,
     merge_into: Option<String>,
 }
@@ -73,6 +79,7 @@ fn parse_args() -> Args {
         quick: false,
         scale: 10,
         seed: 0xC41,
+        max_wire_residual_ms: None,
         out: None,
         merge_into: None,
     };
@@ -110,6 +117,7 @@ fn parse_args() -> Args {
             "--quick" => a.quick = true,
             "--scale" => a.scale = numeric(&mut i).max(1) as usize,
             "--seed" => a.seed = numeric(&mut i),
+            "--max-wire-residual-ms" => a.max_wire_residual_ms = Some(numeric(&mut i)),
             "--out" => a.out = Some(value(&mut i)),
             "--merge-into" => a.merge_into = Some(value(&mut i)),
             other => {
@@ -205,7 +213,8 @@ fn main() {
 
     eprintln!(
         "{} completed, {} errors, {} checksum mismatches; {:.1} qps; \
-         p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  max {:.3} ms",
+         p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  max {:.3} ms; \
+         wire residual p50 {:.3} ms  p99 {:.3} ms",
         report.completed,
         report.errors,
         report.checksum_mismatches,
@@ -213,7 +222,9 @@ fn main() {
         report.percentile_ms(50.0),
         report.percentile_ms(95.0),
         report.percentile_ms(99.0),
-        report.max_ms()
+        report.max_ms(),
+        report.wire_residual_ms(50.0),
+        report.wire_residual_ms(99.0)
     );
 
     let json = render(&a, &mix, payloads.len(), &report);
@@ -229,6 +240,13 @@ fn main() {
 
     if report.errors > 0 || report.checksum_mismatches > 0 {
         std::process::exit(1);
+    }
+    if let Some(bound) = a.max_wire_residual_ms {
+        let residual = report.wire_residual_ms(50.0);
+        if residual > bound as f64 {
+            eprintln!("median wire residual {residual:.3} ms exceeds {bound} ms");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -282,7 +300,17 @@ fn render(a: &Args, mix: &QueryMixSpec, distinct_payloads: usize, r: &LoadgenRep
     let _ = writeln!(s, "    \"p95\": {:.3},", r.percentile_ms(95.0));
     let _ = writeln!(s, "    \"p99\": {:.3},", r.percentile_ms(99.0));
     let _ = writeln!(s, "    \"max\": {:.3}", r.max_ms());
-    s.push_str("  }\n");
+    s.push_str("  },\n");
+    let _ = writeln!(
+        s,
+        "  \"wire_residual_p50_ms\": {:.3},",
+        r.wire_residual_ms(50.0)
+    );
+    let _ = writeln!(
+        s,
+        "  \"wire_residual_p99_ms\": {:.3}",
+        r.wire_residual_ms(99.0)
+    );
     s.push('}');
     s
 }

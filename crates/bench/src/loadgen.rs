@@ -7,6 +7,12 @@
 //! recomputes the embedding checksum over the batches it received and
 //! compares it against the digest in the server's terminal frame, so a
 //! load run doubles as an end-to-end stream-integrity check.
+//!
+//! Each completed query also yields a **wire residual**: client latency
+//! minus the server's execution time from the `done` frame
+//! (`elapsed_ms`). It is what the socket, the codec and the admission
+//! queue add on top of the matching itself; a transport stall shows up
+//! here and nowhere else.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -54,6 +60,9 @@ pub struct LoadgenReport {
     /// Wall-clock span of the whole run (first submit to last terminal).
     pub wall: Duration,
     latencies_ns: Vec<u64>,
+    /// Client latency minus server execution time, sorted, one per
+    /// completed request.
+    residuals_ms: Vec<f64>,
 }
 
 impl LoadgenReport {
@@ -70,12 +79,14 @@ impl LoadgenReport {
     /// Nearest-rank latency percentile in milliseconds (`p` in 0..=100).
     #[must_use]
     pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * self.latencies_ns.len() as f64).ceil() as usize;
-        let idx = rank.clamp(1, self.latencies_ns.len()) - 1;
-        self.latencies_ns[idx] as f64 / 1e6
+        nearest_rank(&self.latencies_ns, p).map_or(0.0, |&ns| ns as f64 / 1e6)
+    }
+
+    /// Nearest-rank percentile of the wire residual in milliseconds (see
+    /// the module docs).
+    #[must_use]
+    pub fn wire_residual_ms(&self, p: f64) -> f64 {
+        nearest_rank(&self.residuals_ms, p).copied().unwrap_or(0.0)
     }
 
     /// Slowest completed request in milliseconds.
@@ -83,6 +94,12 @@ impl LoadgenReport {
     pub fn max_ms(&self) -> f64 {
         self.latencies_ns.last().map_or(0.0, |&ns| ns as f64 / 1e6)
     }
+}
+
+/// The nearest-rank `p`-th percentile (`p` in 0..=100) of sorted samples.
+fn nearest_rank<T>(sorted: &[T], p: f64) -> Option<&T> {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1)
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -101,6 +118,7 @@ pub fn run(addr: &str, payloads: &[String], cfg: &LoadgenConfig) -> io::Result<L
     let mismatches = AtomicU64::new(0);
     let embeddings = AtomicU64::new(0);
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(cfg.requests));
+    let residuals: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(cfg.requests));
     let connect_failures: Mutex<Vec<io::Error>> = Mutex::new(Vec::new());
 
     let start = Instant::now();
@@ -125,6 +143,7 @@ pub fn run(addr: &str, payloads: &[String], cfg: &LoadgenConfig) -> io::Result<L
                         Ok(Ok(r)) => {
                             let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                             lock(&latencies).push(ns);
+                            lock(&residuals).push(ns as f64 / 1e6 - r.elapsed_ms);
                             embeddings.fetch_add(r.embeddings, Ordering::SeqCst);
                             if !cfg.count_only && r.checksum != r.received_checksum {
                                 mismatches.fetch_add(1, Ordering::SeqCst);
@@ -154,6 +173,8 @@ pub fn run(addr: &str, payloads: &[String], cfg: &LoadgenConfig) -> io::Result<L
         }
     }
     latencies.sort_unstable();
+    let mut residuals = std::mem::take(&mut *lock(&residuals));
+    residuals.sort_unstable_by(f64::total_cmp);
     Ok(LoadgenReport {
         completed: latencies.len() as u64,
         errors: errors.into_inner() + failures.len() as u64,
@@ -161,6 +182,7 @@ pub fn run(addr: &str, payloads: &[String], cfg: &LoadgenConfig) -> io::Result<L
         embeddings: embeddings.into_inner(),
         wall,
         latencies_ns: latencies,
+        residuals_ms: residuals,
     })
 }
 
@@ -207,6 +229,8 @@ mod tests {
         assert!(report.qps() > 0.0);
         assert!(report.percentile_ms(50.0) <= report.percentile_ms(99.0));
         assert!(report.percentile_ms(99.0) <= report.max_ms());
+        let (r50, r99) = (report.wire_residual_ms(50.0), report.wire_residual_ms(99.0));
+        assert!(r50 <= r99 && r99 <= report.max_ms(), "{r50} {r99}");
         server.shutdown();
     }
 }

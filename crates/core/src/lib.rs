@@ -84,7 +84,9 @@ pub use filters::{FilterContext, FilterOptions, GraphStats, VerdictCache};
 pub use order::{compute_order, compute_order_with, OrderPlan, OrderedVertex};
 pub use refresh::{Maintained, RefreshKind, RefreshStats, DAMAGE_THRESHOLD};
 pub use result::{Embedding, EmbeddingChecksum, MatchOutcome, MatchReport, MatchStats};
-pub use serve::{Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server, SubmitError};
+pub use serve::{
+    EmbeddingBatch, Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server, SubmitError,
+};
 
 // Observability types (`cfl-trace`) surface on `MatchStats::trace`;
 // re-exported so downstream crates can consume reports without naming the

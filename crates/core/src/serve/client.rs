@@ -3,16 +3,16 @@
 //! one TCP connection and mirrors the protocol's synchronous,
 //! one-request-at-a-time shape.
 
-use std::io;
+use std::fmt::Write as _;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use std::fmt::Write as _;
+use cfl_graph::Graph;
 
-use cfl_graph::{Graph, VertexId};
-
+use super::engine::EmbeddingBatch;
 use super::json::{escape, Json};
-use super::proto::{read_frame, write_frame};
+use super::proto::{decode_stream_frame, frame_text, read_frame_into, write_frame};
 use crate::result::EmbeddingChecksum;
 
 /// Serializes a `submit` request for `query` against the named graph.
@@ -86,7 +86,12 @@ pub struct QueryResult {
 
 /// One connection to a serving endpoint.
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    /// Reused receive buffer (one frame payload).
+    frame: Vec<u8>,
+    /// Reused decoded batch.
+    batch: EmbeddingBatch,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -94,30 +99,38 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 impl Client {
-    /// Connects to `addr`.
+    /// Connects to `addr` with `TCP_NODELAY` set (every frame is written
+    /// whole, so Nagle's coalescing only adds delay).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            reader: BufReader::new(writer.try_clone()?),
+            writer,
+            frame: Vec::new(),
+            batch: EmbeddingBatch::default(),
         })
     }
 
     /// Sets a read timeout on the underlying socket (useful in tests so a
     /// wedged server fails fast instead of hanging the suite).
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.writer.set_read_timeout(timeout)
     }
 
     /// Sends one raw JSON payload as a frame.
     pub fn send(&mut self, payload: &str) -> io::Result<()> {
-        write_frame(&mut self.stream, payload)
+        write_frame(&mut self.writer, payload)
     }
 
     /// Receives one frame and parses it; `None` on clean server close.
     pub fn recv(&mut self) -> io::Result<Option<Json>> {
-        match read_frame(&mut self.stream)? {
-            None => Ok(None),
-            Some(text) => Json::parse(&text).map(Some).map_err(|e| bad(e.to_string())),
+        if !read_frame_into(&mut self.reader, &mut self.frame)? {
+            return Ok(None);
         }
+        Json::parse(frame_text(&self.frame)?)
+            .map(Some)
+            .map_err(|e| bad(e.to_string()))
     }
 
     /// One non-streaming round trip (cancel / apply-delta / stats /
@@ -133,7 +146,7 @@ impl Client {
     pub fn run_query_with(
         &mut self,
         payload: &str,
-        mut on_batch: impl FnMut(&[Vec<VertexId>]),
+        mut on_batch: impl FnMut(&EmbeddingBatch),
     ) -> io::Result<Result<QueryResult, String>> {
         let ack = self.request(payload)?;
         if ack.get("ok").and_then(Json::as_bool) != Some(true) {
@@ -149,32 +162,15 @@ impl Client {
             .and_then(Json::as_u64)
             .ok_or_else(|| bad("submit ack without id"))?;
         let mut checksum = EmbeddingChecksum::new();
-        let mut received: u64 = 0;
         loop {
-            let frame = self
-                .recv()?
-                .ok_or_else(|| bad("server closed mid-stream"))?;
-            if let Some(batch) = frame.get("batch") {
-                let rows = batch.as_arr().ok_or_else(|| bad("batch is not an array"))?;
-                let mut decoded = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let emb: Vec<VertexId> = row
-                        .as_arr()
-                        .ok_or_else(|| bad("embedding is not an array"))?
-                        .iter()
-                        .map(|v| {
-                            v.as_u64()
-                                .and_then(|x| u32::try_from(x).ok())
-                                .ok_or_else(|| bad("vertex id is not a u32"))
-                        })
-                        .collect::<io::Result<_>>()?;
-                    checksum.update(&emb);
-                    decoded.push(emb);
-                }
-                received += decoded.len() as u64;
-                on_batch(&decoded);
-                continue;
+            if !read_frame_into(&mut self.reader, &mut self.frame)? {
+                return Err(bad("server closed mid-stream"));
             }
+            let Some(frame) = decode_stream_frame(&self.frame, &mut self.batch)? else {
+                self.batch.iter().for_each(|row| checksum.update(row));
+                on_batch(&self.batch);
+                continue;
+            };
             if let Some(msg) = frame.get("error").and_then(Json::as_str) {
                 return Ok(Err(msg.to_string()));
             }
@@ -204,7 +200,7 @@ impl Client {
                     .ok_or_else(|| bad("done frame missing checksum"))?
                     .to_string(),
                 received_checksum: format!("0x{:016x}", checksum.digest()),
-                received,
+                received: checksum.count(),
                 search_nodes: field_u64("search_nodes")?,
                 elapsed_ms: match done.get("elapsed_ms") {
                     Some(Json::Num(n)) => *n,
@@ -218,5 +214,18 @@ impl Client {
     /// contents (the checksums still cover them).
     pub fn run_query(&mut self, payload: &str) -> io::Result<Result<QueryResult, String>> {
         self.run_query_with(payload, |_| {})
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_sockets_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
     }
 }

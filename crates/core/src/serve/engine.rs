@@ -41,6 +41,7 @@ use cfl_graph::{DeltaError, Graph, GraphDelta, VertexId};
 use cfl_trace::ServeTrace;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
+use super::trim;
 use crate::cache::PlanCache;
 use crate::config::{Budget, CancelToken, MatchConfig};
 use crate::result::{EmbeddingChecksum, MatchOutcome};
@@ -195,13 +196,93 @@ pub struct QueryDone {
     pub elapsed: Duration,
 }
 
+/// A batch of embeddings stored flat: `width` vertex ids per row, rows
+/// back to back in one `Vec`, so filling a batch allocates once rather
+/// than once per embedding.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EmbeddingBatch {
+    width: usize,
+    rows: usize,
+    ids: Vec<VertexId>,
+}
+
+/// Most vertex ids a batch reserves before rows arrive: the batch size is
+/// an operator setting, so an outsized one must not reserve memory for
+/// rows a query may never produce.
+const MAX_RESERVED_IDS: usize = 1 << 16;
+
+impl EmbeddingBatch {
+    /// An empty batch of `width`-vertex rows with room for `rows` rows
+    /// (up to [`MAX_RESERVED_IDS`] ids).
+    #[must_use]
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> Self {
+        EmbeddingBatch {
+            width,
+            rows: 0,
+            ids: Vec::with_capacity(width.saturating_mul(rows).min(MAX_RESERVED_IDS)),
+        }
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// `true` iff the batch holds no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Appends one row; `row.len()` must equal the batch's row width.
+    pub(crate) fn push(&mut self, row: &[VertexId]) {
+        debug_assert_eq!(row.len(), self.width, "ragged embedding batch");
+        self.ids.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Empties the batch, keeping the allocation. The next row pushed
+    /// with [`push_id`](Self::push_id)/[`close_row`](Self::close_row)
+    /// sets the width.
+    pub(super) fn clear(&mut self) {
+        self.width = 0;
+        self.rows = 0;
+        self.ids.clear();
+    }
+
+    /// Appends one vertex id to the row being built by a decoder.
+    pub(super) fn push_id(&mut self, v: VertexId) {
+        self.ids.push(v);
+    }
+
+    /// Ends the row begun by [`push_id`](Self::push_id) calls since the
+    /// last row. The first row fixes the width; a later row of another
+    /// width returns `false` (the batch is then unusable until cleared).
+    pub(super) fn close_row(&mut self) -> bool {
+        let len = self.ids.len() - self.rows * self.width;
+        if self.rows == 0 {
+            self.width = len;
+        } else if len != self.width {
+            return false;
+        }
+        self.rows += 1;
+        true
+    }
+
+    /// The rows in order, each a `width`-long slice.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[VertexId]> + '_ {
+        (0..self.rows).map(move |r| &self.ids[r * self.width..(r + 1) * self.width])
+    }
+}
+
 /// One event on a query's result stream: zero or more batches, then
 /// exactly one terminal event ([`Done`](QueryEvent::Done) or
 /// [`Failed`](QueryEvent::Failed)).
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryEvent {
     /// A batch of embeddings, in enumeration order.
-    Batch(Vec<Vec<VertexId>>),
+    Batch(EmbeddingBatch),
     /// The query finished; no further events follow.
     Done(QueryDone),
     /// The query errored before enumeration (e.g. a disconnected query
@@ -496,6 +577,11 @@ impl Engine {
             }),
         );
         drop(graphs);
+        // The engine's last reference to the predecessor goes here (queries
+        // still running on it hold their own); what it freed goes back to
+        // the OS instead of fragmenting the allocator's arenas.
+        drop(state);
+        trim::release_free_memory();
         let mut t = lock(&self.shared.counters);
         t.deltas_applied += 1;
         t.plans_refreshed += refreshed as u64;
@@ -544,7 +630,8 @@ fn run_job(shared: &Shared, job: Job) {
     };
     let start = Instant::now();
     let mut checksum = EmbeddingChecksum::new();
-    let mut batch: Vec<Vec<VertexId>> = Vec::new();
+    let width = job.query.num_vertices();
+    let mut batch = EmbeddingBatch::with_capacity(width, job.batch_size);
     let mut abandoned = false;
     let mut batches_sent: u64 = 0;
     let mut streamed: u64 = 0;
@@ -553,11 +640,14 @@ fn run_job(shared: &Shared, job: Job) {
     } else {
         session.find_embeddings(&job.query, &job.config, |mapping| {
             checksum.update(mapping);
-            batch.push(mapping.to_vec());
+            batch.push(mapping);
             if batch.len() < job.batch_size {
                 return true;
             }
-            let full = std::mem::take(&mut batch);
+            let full = std::mem::replace(
+                &mut batch,
+                EmbeddingBatch::with_capacity(width, job.batch_size),
+            );
             let n = full.len() as u64;
             match job.events.send(QueryEvent::Batch(full)) {
                 Ok(()) => {

@@ -28,11 +28,12 @@ mod engine;
 pub mod json;
 pub mod proto;
 mod server;
+mod trim;
 
 pub use client::{submit_payload, Client, QueryResult};
 pub use engine::{
-    DeltaApplied, Engine, EngineConfig, QueryDone, QueryEvent, QueryHandle, QuerySpec,
-    ServeDeltaError, SubmitError,
+    DeltaApplied, EmbeddingBatch, Engine, EngineConfig, QueryDone, QueryEvent, QueryHandle,
+    QuerySpec, ServeDeltaError, SubmitError,
 };
 pub use server::Server;
 
@@ -90,7 +91,7 @@ mod tests {
         let mut embs = Vec::new();
         loop {
             match handle.recv().expect("stream ended without terminal event") {
-                QueryEvent::Batch(b) => embs.extend(b),
+                QueryEvent::Batch(b) => embs.extend(b.iter().map(<[u32]>::to_vec)),
                 terminal => return (embs, terminal),
             }
         }

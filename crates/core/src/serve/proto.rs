@@ -41,38 +41,85 @@ use std::time::Duration;
 use cfl_graph::{graph_from_edges, GraphDelta, VertexId};
 use cfl_trace::ServeTrace;
 
-use super::engine::{QueryDone, QuerySpec};
+use super::engine::{EmbeddingBatch, QueryDone, QuerySpec};
 use super::json::{escape, Json};
 use crate::config::{MatchConfig, OrderingKind, PruningKind};
 
 /// Maximum frame payload accepted or produced (16 MiB).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Writes one frame (length prefix + payload) and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
+fn check_len(len: usize) -> io::Result<()> {
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame exceeds MAX_FRAME",
         ));
     }
-    let len = bytes.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    Ok(())
 }
 
-/// Reads one frame. `Ok(None)` on a clean end-of-stream *between* frames;
-/// EOF inside a frame is an error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
+/// Sends frames over `W`, each as **one** `write_all` of length prefix
+/// plus payload assembled in a reused buffer.
+///
+/// Writing the prefix and the payload separately lets Nagle's algorithm
+/// hold the payload until the peer acknowledges the prefix, which delayed
+/// ACK postpones by ~40 ms per frame. Both ends also set `TCP_NODELAY`.
+pub(crate) struct FrameWriter<W> {
+    w: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    pub(crate) fn new(w: W) -> Self {
+        FrameWriter { w, buf: Vec::new() }
+    }
+
+    /// Sends one frame carrying `payload`.
+    pub(crate) fn send(&mut self, payload: &str) -> io::Result<()> {
+        check_len(payload.len())?;
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        self.buf.extend_from_slice(payload.as_bytes());
+        self.flush_buf()
+    }
+
+    /// Sends one `{"id":N,"batch":…}` frame, encoded straight into the
+    /// frame buffer (the bytes equal [`encode_batch`]'s).
+    pub(crate) fn send_batch(&mut self, id: u64, batch: &EmbeddingBatch) -> io::Result<()> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        encode_batch_into(&mut self.buf, id, batch.iter());
+        let len = self.buf.len() - 4;
+        check_len(len)?;
+        self.buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        self.flush_buf()
+    }
+
+    fn flush_buf(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf)?;
+        self.w.flush()
+    }
+}
+
+/// Writes one frame (length prefix + payload) in a single write and
+/// flushes.
+pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
+    FrameWriter::new(w).send(payload)
+}
+
+/// Reads one frame's payload into `buf`, replacing its contents.
+/// `Ok(false)` on a clean end-of-stream *between* frames; EOF inside a
+/// frame is an error. The buffer grows as payload bytes arrive, so a
+/// length prefix alone cannot make it allocate up to [`MAX_FRAME`].
+pub(crate) fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     let mut len = [0u8; 4];
     let mut got = 0;
     while got < 4 {
         let n = r.read(&mut len[got..])?;
         if n == 0 {
             if got == 0 {
-                return Ok(None);
+                return Ok(false);
             }
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -88,11 +135,34 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not utf-8"))
+    buf.clear();
+    r.take(n as u64).read_to_end(buf)?;
+    if buf.len() < n {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        ));
+    }
+    Ok(true)
+}
+
+fn not_utf8() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "frame is not utf-8")
+}
+
+/// A frame payload as text; the protocol is UTF-8 JSON.
+pub(crate) fn frame_text(payload: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(payload).map_err(|_| not_utf8())
+}
+
+/// Reads one frame. `Ok(None)` on a clean end-of-stream *between* frames;
+/// EOF inside a frame is an error.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    if !read_frame_into(r, &mut buf)? {
+        return Ok(None);
+    }
+    String::from_utf8(buf).map(Some).map_err(|_| not_utf8())
 }
 
 /// A decoded client request.
@@ -271,25 +341,162 @@ pub fn encode_submitted(id: u64) -> String {
     format!("{{\"ok\": true, \"id\": {id}}}")
 }
 
-/// A batch of embeddings for query `id`.
+/// A batch of embeddings for query `id`: `{"id": N, "batch": [[…], …]}`.
 #[must_use]
 pub fn encode_batch(id: u64, batch: &[Vec<VertexId>]) -> String {
-    let mut out = format!("{{\"id\": {id}, \"batch\": [");
-    for (i, emb) in batch.iter().enumerate() {
+    let mut out = Vec::new();
+    encode_batch_into(&mut out, id, batch.iter().map(Vec::as_slice));
+    // The encoder emits ASCII only.
+    String::from_utf8(out).unwrap_or_default()
+}
+
+/// The one batch encoder: appends the payload of a batch frame to `out`.
+fn encode_batch_into<'a>(
+    out: &mut Vec<u8>,
+    id: u64,
+    rows: impl IntoIterator<Item = &'a [VertexId]>,
+) {
+    out.extend_from_slice(b"{\"id\": ");
+    push_decimal(out, id);
+    out.extend_from_slice(b", \"batch\": [");
+    for (i, row) in rows.into_iter().enumerate() {
         if i > 0 {
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
         }
-        out.push('[');
-        for (j, v) in emb.iter().enumerate() {
+        out.push(b'[');
+        for (j, &v) in row.iter().enumerate() {
             if j > 0 {
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
             }
-            out.push_str(&v.to_string());
+            push_decimal(out, u64::from(v));
         }
-        out.push(']');
+        out.push(b']');
     }
-    out.push_str("]}");
-    out
+    out.extend_from_slice(b"]}");
+}
+
+/// Appends `n` in decimal, as `Display` would print it.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Decodes one frame of a query's result stream. A batch frame lands in
+/// `out` and yields `Ok(None)`; any other frame is returned parsed.
+///
+/// Batch frames byte for byte in the form [`encode_batch`] produces take
+/// a fast path that builds no JSON tree. Any other valid JSON falls back
+/// to [`Json::parse`] and decodes to the same rows.
+pub(crate) fn decode_stream_frame(
+    payload: &[u8],
+    out: &mut EmbeddingBatch,
+) -> io::Result<Option<Json>> {
+    if decode_batch(payload, out).is_some() {
+        return Ok(None);
+    }
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let frame = Json::parse(frame_text(payload)?).map_err(|e| invalid(e.to_string()))?;
+    match frame.get("batch") {
+        Some(rows) => batch_from_json(rows, out).map(|()| None).map_err(invalid),
+        None => Ok(Some(frame)),
+    }
+}
+
+/// The fast path of [`decode_stream_frame`]: decodes a payload in exactly
+/// [`encode_batch`]'s form into `out` and returns its query id. `None`
+/// means any other input — other spacing or key order, a non-canonical
+/// number, ragged rows, or malformed JSON.
+fn decode_batch(payload: &[u8], out: &mut EmbeddingBatch) -> Option<u64> {
+    let mut c = Cursor {
+        bytes: payload,
+        at: 0,
+    };
+    c.eat(b"{\"id\": ")?;
+    let id = c.decimal(u64::MAX)?;
+    c.eat(b", \"batch\": [")?;
+    out.clear();
+    if c.eat(b"]}").is_none() {
+        loop {
+            c.eat(b"[")?;
+            if c.eat(b"]").is_none() {
+                loop {
+                    out.push_id(u32::try_from(c.decimal(u64::from(u32::MAX))?).ok()?);
+                    if c.eat(b", ").is_none() {
+                        c.eat(b"]")?;
+                        break;
+                    }
+                }
+            }
+            if !out.close_row() {
+                return None;
+            }
+            if c.eat(b", ").is_none() {
+                c.eat(b"]}")?;
+                break;
+            }
+        }
+    }
+    (c.at == payload.len()).then_some(id)
+}
+
+/// Decodes the `batch` member of any parsed batch frame into `out`.
+fn batch_from_json(rows: &Json, out: &mut EmbeddingBatch) -> Result<(), String> {
+    let rows = rows.as_arr().ok_or("batch is not an array")?;
+    out.clear();
+    for row in rows {
+        for v in row.as_arr().ok_or("embedding is not an array")? {
+            let v = v
+                .as_u64()
+                .and_then(|x| u32::try_from(x).ok())
+                .ok_or("vertex id is not a u32")?;
+            out.push_id(v);
+        }
+        if !out.close_row() {
+            return Err("batch rows differ in length".to_string());
+        }
+    }
+    Ok(())
+}
+
+/// A forward-only reader over a payload for [`decode_batch`].
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    fn eat(&mut self, literal: &[u8]) -> Option<()> {
+        self.bytes[self.at..].starts_with(literal).then(|| {
+            self.at += literal.len();
+        })
+    }
+
+    /// A canonical decimal (`0`, or no leading zero) no larger than `max`.
+    fn decimal(&mut self, max: u64) -> Option<u64> {
+        let digits = self.bytes[self.at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let text = &self.bytes[self.at..self.at + digits];
+        if digits == 0 || (digits > 1 && text[0] == b'0') {
+            return None;
+        }
+        let mut n: u64 = 0;
+        for &d in text {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+        }
+        self.at += digits;
+        (n <= max).then_some(n)
+    }
 }
 
 /// Terminal success frame for query `id`.
@@ -351,6 +558,7 @@ pub fn encode_ok() -> String {
 mod tests {
     use super::*;
     use crate::result::MatchOutcome;
+    use proptest::prelude::*;
 
     #[test]
     fn frames_round_trip() {
@@ -377,6 +585,34 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn declared_length_is_not_allocated_up_front() {
+        // A header claiming MAX_FRAME bytes, then EOF: the reader must fail
+        // without having reserved the declared length.
+        let header = Vec::from((MAX_FRAME as u32).to_be_bytes());
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut io::Cursor::new(header.clone()), &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= 64 * 1024, "capacity {}", buf.capacity());
+        let err = read_frame(&mut io::Cursor::new(header)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn reused_buffer_reads_successive_frames() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, "a much longer first payload").unwrap();
+        write_frame(&mut wire, "short").unwrap();
+        write_frame(&mut wire, "").unwrap();
+        let mut r = io::Cursor::new(wire);
+        let mut buf = Vec::new();
+        for want in ["a much longer first payload", "short", ""] {
+            assert!(read_frame_into(&mut r, &mut buf).unwrap());
+            assert_eq!(buf, want.as_bytes());
+        }
+        assert!(!read_frame_into(&mut r, &mut buf).unwrap(), "clean eof");
     }
 
     #[test]
@@ -498,5 +734,192 @@ mod tests {
             v.get("batch").and_then(Json::as_arr).map(<[Json]>::len),
             Some(1)
         );
+    }
+
+    /// The batch encoder as first written (one `to_string` per vertex):
+    /// the golden reference for the wire bytes.
+    fn reference_batch(id: u64, batch: &[Vec<VertexId>]) -> String {
+        let mut out = format!("{{\"id\": {id}, \"batch\": [");
+        for (i, emb) in batch.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('[');
+            for (j, v) in emb.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(&v.to_string());
+            }
+            out.push(']');
+        }
+        out.push_str("]}");
+        out
+    }
+
+    fn flat(rows: &[Vec<VertexId>]) -> EmbeddingBatch {
+        let width = rows.first().map_or(0, Vec::len);
+        let mut batch = EmbeddingBatch::with_capacity(width, rows.len());
+        rows.iter().for_each(|r| batch.push(r));
+        batch
+    }
+
+    fn rows_of(batch: &EmbeddingBatch) -> Vec<Vec<VertexId>> {
+        batch.iter().map(<[VertexId]>::to_vec).collect()
+    }
+
+    fn checksum_of(batch: &EmbeddingBatch) -> u64 {
+        let mut c = crate::result::EmbeddingChecksum::new();
+        batch.iter().for_each(|r| c.update(r));
+        c.digest()
+    }
+
+    /// Decodes through the general path only: `Json::parse`, then the
+    /// tree walk.
+    fn decode_via_json(payload: &str) -> Result<EmbeddingBatch, String> {
+        let v = Json::parse(payload).map_err(|e| e.to_string())?;
+        let mut out = EmbeddingBatch::default();
+        batch_from_json(v.get("batch").ok_or("no batch")?, &mut out)?;
+        Ok(out)
+    }
+
+    fn golden_cases() -> Vec<(u64, Vec<Vec<VertexId>>)> {
+        vec![
+            (0, vec![]),
+            (u64::MAX, vec![]),
+            (7, vec![vec![0]]),
+            (7, vec![vec![u32::MAX]]),
+            (8, vec![vec![0], vec![u32::MAX], vec![10]]),
+            (9, vec![vec![0, u32::MAX, 1, 10, 99, 100]]),
+            (1 << 53, vec![vec![3, 4], vec![5, 6], vec![u32::MAX, 0]]),
+            (2, vec![vec![]]),
+        ]
+    }
+
+    #[test]
+    fn batch_encoder_matches_the_reference_bytes() {
+        for (id, rows) in golden_cases() {
+            let want = reference_batch(id, &rows);
+            assert_eq!(encode_batch(id, &rows), want);
+            let mut wire = Vec::new();
+            FrameWriter::new(&mut wire)
+                .send_batch(id, &flat(&rows))
+                .unwrap();
+            assert_eq!(&wire[..4], &(want.len() as u32).to_be_bytes());
+            assert_eq!(&wire[4..], want.as_bytes(), "{want}");
+        }
+    }
+
+    #[test]
+    fn fast_decoder_reads_every_golden_frame() {
+        for (id, rows) in golden_cases() {
+            let payload = reference_batch(id, &rows);
+            let mut out = EmbeddingBatch::default();
+            assert_eq!(decode_batch(payload.as_bytes(), &mut out), Some(id));
+            assert_eq!(rows_of(&out), rows, "{payload}");
+            assert_eq!(out, decode_via_json(&payload).unwrap(), "{payload}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_batches_fall_back_and_decode_identically() {
+        let canonical = r#"{"id": 4, "batch": [[1, 2], [3, 4]]}"#;
+        let mut want = EmbeddingBatch::default();
+        assert_eq!(
+            decode_stream_frame(canonical.as_bytes(), &mut want).unwrap(),
+            None
+        );
+        for variant in [
+            r#"{"id":4,"batch":[[1,2],[3,4]]}"#,
+            "{ \"id\" : 4 ,\n \"batch\" : [ [ 1 , 2 ] ,\t[3, 4] ] }",
+            r#"{"batch": [[1, 2], [3, 4]], "id": 4}"#,
+            r#"{"id": 4, "batch": [[1.0, 2], [3, 4e0]]}"#,
+            r#"{"id": 4, "extra": null, "batch": [[1, 2], [3, 4]]}"#,
+        ] {
+            let mut out = EmbeddingBatch::default();
+            assert_eq!(
+                decode_batch(variant.as_bytes(), &mut out),
+                None,
+                "{variant}"
+            );
+            let other = decode_stream_frame(variant.as_bytes(), &mut out).unwrap();
+            assert_eq!(other, None, "{variant}");
+            assert_eq!(out, want, "{variant}");
+        }
+    }
+
+    #[test]
+    fn malformed_batches_never_panic() {
+        let mut out = EmbeddingBatch::default();
+        for (bad, fast_ok) in [
+            (r#"{"id": 1, "batch": [[01, 2]]}"#, false),
+            (r#"{"id": 1, "batch": [[00]]}"#, false),
+            (r#"{"id": 1, "batch": [[4294967296]]}"#, false),
+            (r#"{"id": 1, "batch": [[99999999999999999999999]]}"#, false),
+            (r#"{"id": 99999999999999999999999, "batch": [[1]]}"#, false),
+            (r#"{"id": 1, "batch": [[1, 2], [3]]}"#, false),
+            (r#"{"id": 1, "batch": [[1], [2, 3]]}"#, false),
+            (r#"{"id": 1, "batch": [[-1]]}"#, false),
+            (r#"{"id": 1, "batch": [[1], ]}"#, false),
+            (r#"{"id": 1, "batch": [[1]]} "#, false),
+            (r#"{"id": 1, "batch": [[1]]}"#, true),
+        ] {
+            assert_eq!(
+                decode_batch(bad.as_bytes(), &mut out).is_some(),
+                fast_ok,
+                "{bad}"
+            );
+            let _ = decode_stream_frame(bad.as_bytes(), &mut out);
+        }
+        for bad in [
+            r#"{"id": 1, "batch": [[4294967296]]}"#,
+            r#"{"id": 1, "batch": [[1, 2], [3]]}"#,
+            r#"{"id": 1, "batch": [[-1]]}"#,
+            r#"{"id": 1, "batch": [1, 2]}"#,
+            r#"{"id": 1, "batch": 3}"#,
+        ] {
+            assert!(
+                decode_stream_frame(bad.as_bytes(), &mut out).is_err(),
+                "{bad}"
+            );
+        }
+        // Every truncation of a valid frame is an error, never a panic.
+        let whole = reference_batch(12, &[vec![0, 4_000_000_000], vec![7, 8]]);
+        for cut in 0..whole.len() {
+            let part = &whole.as_bytes()[..cut];
+            assert_eq!(decode_batch(part, &mut out), None);
+            assert!(decode_stream_frame(part, &mut out).is_err(), "{cut}");
+        }
+        assert!(decode_stream_frame(&[0xff, 0xfe], &mut out).is_err());
+    }
+
+    fn vertex() -> impl Strategy<Value = VertexId> {
+        (0u32..6).prop_flat_map(|k| match k {
+            0 => Just(0).boxed(),
+            1 => Just(u32::MAX).boxed(),
+            2 => (0u32..10).boxed(),
+            _ => (0u32..=u32::MAX).boxed(),
+        })
+    }
+
+    proptest! {
+        /// The client's fast path and the general `Json::parse` path decode
+        /// every encoder-produced batch to the same rows and checksum.
+        #[test]
+        fn fast_path_agrees_with_json_parse(
+            id in 0u64..=u64::MAX,
+            rows in (1usize..6, 0usize..12).prop_flat_map(|(width, n)| {
+                proptest::collection::vec(proptest::collection::vec(vertex(), width), n)
+            }),
+        ) {
+            let payload = encode_batch(id, &rows);
+            prop_assert_eq!(payload.clone(), reference_batch(id, &rows));
+            let mut fast = EmbeddingBatch::default();
+            prop_assert_eq!(decode_batch(payload.as_bytes(), &mut fast), Some(id));
+            let slow = decode_via_json(&payload).unwrap();
+            prop_assert_eq!(rows_of(&fast), rows.clone());
+            prop_assert_eq!(rows_of(&slow), rows);
+            prop_assert_eq!(checksum_of(&fast), checksum_of(&slow));
+        }
     }
 }

@@ -8,14 +8,14 @@
 //! connection — the engine notices the vanished client on its next batch
 //! and aborts the query).
 
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use super::engine::{Engine, SubmitError};
 use super::proto::{
-    encode_batch, encode_cancelled, encode_delta_applied, encode_done, encode_error, encode_ok,
-    encode_query_error, encode_stats, encode_submitted, parse_request, read_frame, write_frame,
-    Request,
+    encode_cancelled, encode_delta_applied, encode_done, encode_error, encode_ok,
+    encode_query_error, encode_stats, encode_submitted, frame_text, parse_request, read_frame_into,
+    FrameWriter, Request,
 };
 use super::QueryEvent;
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -85,11 +85,11 @@ impl Drop for Server {
 
 fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>, stop: &Arc<AtomicBool>) {
     loop {
-        let conn = listener.accept();
+        let conn = accept_stream(listener);
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok((stream, _)) = conn else {
+        let Ok(stream) = conn else {
             continue; // transient accept error; keep serving
         };
         let engine = Arc::clone(engine);
@@ -97,7 +97,7 @@ fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>, stop: &Arc<AtomicBo
         let spawned = thread::Builder::new()
             .name("cfl-serve-conn".to_string())
             .spawn(move || {
-                let _ = serve_connection(stream, &engine, &stop);
+                let _ = serve_stream(stream, &engine, &stop);
             });
         if spawned.is_err() {
             // Out of threads: drop the connection; the client sees a
@@ -107,42 +107,57 @@ fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>, stop: &Arc<AtomicBo
     }
 }
 
+/// Accepts one connection with `TCP_NODELAY` set: every frame is already
+/// written whole, so Nagle's coalescing only adds delay.
+fn accept_stream(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+fn serve_stream(stream: TcpStream, engine: &Engine, stop: &AtomicBool) -> io::Result<bool> {
+    let local = stream.local_addr()?;
+    let reader = BufReader::new(stream.try_clone()?);
+    serve_connection(reader, stream, engine, stop, local)
+}
+
 /// Runs one connection to completion. Returns `Ok(true)` iff the client
-/// requested a server shutdown.
+/// requested a server shutdown; `local` is the listening address, poked
+/// so the accept loop observes the stop flag.
 fn serve_connection(
-    stream: TcpStream,
-    engine: &Arc<Engine>,
-    stop: &Arc<AtomicBool>,
+    mut reader: impl Read,
+    writer: impl Write,
+    engine: &Engine,
+    stop: &AtomicBool,
+    local: SocketAddr,
 ) -> io::Result<bool> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    while let Some(frame) = read_frame(&mut reader)? {
-        let request = match parse_request(&frame) {
+    let mut out = FrameWriter::new(writer);
+    let mut frame = Vec::new();
+    while read_frame_into(&mut reader, &mut frame)? {
+        let request = match parse_request(frame_text(&frame)?) {
             Ok(r) => r,
             Err(msg) => {
-                write_frame(&mut writer, &encode_error(&msg, false))?;
+                out.send(&encode_error(&msg, false))?;
                 continue;
             }
         };
         match request {
             Request::Submit(spec) => match engine.submit(spec) {
                 Ok(handle) => {
-                    write_frame(&mut writer, &encode_submitted(handle.id()))?;
                     let id = handle.id();
+                    out.send(&encode_submitted(id))?;
                     // If a write fails the client is gone; dropping the
                     // handle aborts the query, and the `?` ends the
                     // connection thread.
                     loop {
                         match handle.recv() {
-                            Some(QueryEvent::Batch(batch)) => {
-                                write_frame(&mut writer, &encode_batch(id, &batch))?;
-                            }
+                            Some(QueryEvent::Batch(batch)) => out.send_batch(id, &batch)?,
                             Some(QueryEvent::Done(done)) => {
-                                write_frame(&mut writer, &encode_done(id, &done))?;
+                                out.send(&encode_done(id, &done))?;
                                 break;
                             }
                             Some(QueryEvent::Failed(msg)) => {
-                                write_frame(&mut writer, &encode_query_error(id, &msg))?;
+                                out.send(&encode_query_error(id, &msg))?;
                                 break;
                             }
                             None => break, // engine shut down mid-query
@@ -151,30 +166,138 @@ fn serve_connection(
                 }
                 Err(e) => {
                     let retry = matches!(e, SubmitError::QueueFull);
-                    write_frame(&mut writer, &encode_error(&e.to_string(), retry))?;
+                    out.send(&encode_error(&e.to_string(), retry))?;
                 }
             },
-            Request::Cancel { id } => {
-                write_frame(&mut writer, &encode_cancelled(engine.cancel(id)))?;
-            }
+            Request::Cancel { id } => out.send(&encode_cancelled(engine.cancel(id)))?,
             Request::ApplyDelta { graph, delta } => match engine.apply_delta(&graph, &delta) {
-                Ok(applied) => write_frame(
-                    &mut writer,
-                    &encode_delta_applied(applied.epoch, applied.plans_refreshed),
-                )?,
-                Err(e) => write_frame(&mut writer, &encode_error(&e.to_string(), false))?,
+                Ok(applied) => out.send(&encode_delta_applied(
+                    applied.epoch,
+                    applied.plans_refreshed,
+                ))?,
+                Err(e) => out.send(&encode_error(&e.to_string(), false))?,
             },
-            Request::Stats => {
-                write_frame(&mut writer, &encode_stats(&engine.stats()))?;
-            }
+            Request::Stats => out.send(&encode_stats(&engine.stats()))?,
             Request::Shutdown => {
-                write_frame(&mut writer, &encode_ok())?;
+                out.send(&encode_ok())?;
                 stop.store(true, Ordering::SeqCst);
                 // Poke the accept loop so it observes the flag.
-                let _ = TcpStream::connect(writer.local_addr()?);
+                let _ = TcpStream::connect(local);
                 return Ok(true);
             }
         }
     }
     Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::json::Json;
+    use crate::serve::proto::write_frame;
+    use crate::serve::EngineConfig;
+    use cfl_graph::graph_from_edges;
+    use std::io::Cursor;
+
+    /// Records every `write` call it receives, accepting all bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame kind of a response payload, for coverage accounting.
+    fn kind(frame: &Json) -> &'static str {
+        let has = |k| frame.get(k).is_some();
+        if has("batch") {
+            "batch"
+        } else if has("done") {
+            "done"
+        } else if has("stats") {
+            "stats"
+        } else if has("error") {
+            "error"
+        } else if has("id") {
+            "ack"
+        } else {
+            "ok"
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let engine = Engine::new(EngineConfig {
+            batch_size: 1,
+            ..EngineConfig::default()
+        });
+        let g = graph_from_edges(
+            &[0, 1, 2, 1, 2, 0],
+            &[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (2, 5)],
+        )
+        .unwrap();
+        engine.add_graph("default", g);
+        let mut requests = Vec::new();
+        for payload in [
+            r#"{"op":"submit","query":{"labels":[0,1,2],"edges":[[0,1],[1,2],[2,0]]}}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[]}}"#,
+            r#"{"op":"warp"}"#,
+            r#"{"op":"stats"}"#,
+            r#"{"op":"cancel","id":999}"#,
+            r#"{"op":"apply-delta","delete":[[0,1]]}"#,
+            r#"{"op":"shutdown"}"#,
+        ] {
+            write_frame(&mut requests, payload).unwrap();
+        }
+        let mut client_side = CountingWriter::default();
+        write_frame(&mut client_side, r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(client_side.writes.len(), 1, "write_frame");
+
+        // A listener stands in for the accept loop the shutdown op pokes.
+        let poke = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut out = CountingWriter::default();
+        let stop = AtomicBool::new(false);
+        let shut = serve_connection(
+            Cursor::new(requests),
+            &mut out,
+            &engine,
+            &stop,
+            poke.local_addr().unwrap(),
+        )
+        .unwrap();
+        assert!(shut && stop.load(Ordering::SeqCst));
+
+        let mut kinds = Vec::new();
+        for write in &out.writes {
+            let (len, payload) = write.split_at(4);
+            let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+            assert_eq!(len, payload.len(), "a write holds exactly one frame");
+            let frame = Json::parse(std::str::from_utf8(payload).unwrap()).unwrap();
+            kinds.push(kind(&frame));
+        }
+        // triangle: ack, 2 single-row batches, done; disconnected query:
+        // ack, query error; bad op: error; then stats, cancel, delta and
+        // shutdown answers.
+        assert_eq!(
+            kinds,
+            ["ack", "batch", "batch", "done", "ack", "error", "error", "stats", "ok", "ok", "ok"]
+        );
+    }
+
+    #[test]
+    fn accepted_sockets_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = accept_stream(&listener).unwrap();
+        assert!(accepted.nodelay().unwrap());
+    }
 }

@@ -59,7 +59,7 @@ pub struct CrateRules {
 const CORE_RULES: CrateRules = CrateRules {
     dir: "crates/core",
     sync_shim: Some("src/sync.rs"),
-    unsafe_allowlist: &["src/pool.rs"],
+    unsafe_allowlist: &["src/pool.rs", "src/serve/trim.rs"],
     relaxed_allowlist: &[
         "src/pool.rs",
         "src/exec/enumerate.rs",
